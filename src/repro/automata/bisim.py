@@ -14,18 +14,23 @@ Definition 9 of the paper: states ``a ~ b`` iff
 The coarsest such relation is computed by *signature refinement*: start
 from the {final, non-final} partition (possibly pre-refined by a caller-
 supplied partition — see :func:`bisimulation_partition`'s ``seed``) and
-repeatedly split blocks by the multiset of ``(label, successor block)``
-pairs until stable.  Seeding is what makes the all-subsets projection
-computation of §5.3 cheap: by Theorem 3 the partition for a literal set
-``L' ⊇ L`` refines the one for ``L``, so refinement can resume from the
-parent's partition instead of restarting from scratch.
+repeatedly split blocks by the set of ``(label, successor block)`` pairs
+until stable.  The loop runs on an automaton's int encoding
+(:class:`~repro.automata.encode.EncodedAutomaton`), where a label is a
+label-class id and a projection is just a coarser class numbering (see
+:func:`repro.projection.project.project_label_classes`).  Seeding is
+what makes the all-subsets projection computation of §5.3 cheap: by
+Theorem 3 the partition for a literal set ``L' ⊇ L`` refines the one
+for ``L``, so refinement can resume from the parent's partition instead
+of restarting from scratch.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
-from .buchi import BuchiAutomaton, Transition, _state_key
+from .buchi import BuchiAutomaton, Transition
+from .encode import EncodedAutomaton, encode_automaton
 from .labels import Label
 
 State = Hashable
@@ -35,33 +40,60 @@ State = Hashable
 Partition = dict
 
 
-def initial_partition(ba: BuchiAutomaton) -> Partition:
-    """The {final, non-final} split (point 1 of Definition 9)."""
-    out: Partition = {}
-    for state in ba.states:
-        out[state] = 1 if state in ba.final else 0
-    return out
+def refine_encoded(
+    encoded: EncodedAutomaton,
+    label_ids: Sequence[int],
+    seed: Sequence[int] | None = None,
+) -> list[int]:
+    """The coarsest bisimulation of an encoded automaton, as one block id
+    per encoded state id.
 
-
-def refine_once(ba: BuchiAutomaton, partition: Partition) -> Partition:
-    """One global signature-splitting round; returns a (possibly) finer
-    partition with freshly numbered blocks."""
-    signatures: dict[State, tuple] = {}
-    for state in ba.states:
-        signature = frozenset(
-            (label, partition[dst]) for label, dst in ba.successors(state)
-        )
-        signatures[state] = (partition[state], signature)
-    renumber: dict[tuple, int] = {}
-    out: Partition = {}
-    for state in sorted(ba.states, key=_state_key):
-        key = signatures[state]
-        block = renumber.get(key)
-        if block is None:
-            block = len(renumber)
-            renumber[key] = block
-        out[state] = block
-    return out
+    ``label_ids[c]`` names the label of encoded label class ``c``; classes
+    sharing an id count as one label, which is how a projection merges
+    labels without rebuilding the automaton.  ``seed`` (one block per
+    state) must be coarser than or equal to the result; it is
+    intersected with the final/non-final split.  Blocks are numbered by
+    first appearance in id order; ids follow ``_state_key`` order, so a
+    partition's numbering depends only on the automaton, which keeps
+    persisted partitions stable.
+    """
+    n = encoded.num_states
+    final = encoded.final_mask
+    offsets = encoded.offsets
+    trans_labels = encoded.trans_labels
+    trans_dsts = encoded.trans_dsts
+    # per state, its distinct (label, successor) edges with the label
+    # pre-scaled so that ``label + block`` is a unique int signature entry
+    edges = [
+        tuple({
+            (label_ids[trans_labels[t]] * n, trans_dsts[t])
+            for t in range(offsets[s], offsets[s + 1])
+        })
+        for s in range(n)
+    ]
+    if seed is None:
+        blocks = [(final >> s) & 1 for s in range(n)]
+        count = len(set(blocks))
+    else:
+        renumber: dict[tuple, int] = {}
+        blocks = [
+            renumber.setdefault((seed[s], (final >> s) & 1), len(renumber))
+            for s in range(n)
+        ]
+        count = len(renumber)
+    while True:
+        signatures: dict[tuple, int] = {}
+        refined = [
+            signatures.setdefault(
+                (blocks[s], frozenset([l + blocks[d] for l, d in edges[s]])),
+                len(signatures),
+            )
+            for s in range(n)
+        ]
+        if len(signatures) == count:
+            return refined
+        blocks = refined
+        count = len(signatures)
 
 
 def bisimulation_partition(
@@ -77,31 +109,17 @@ def bisimulation_partition(
             projection (Theorem 3).  Refinement resumes from it, saving
             the early rounds.  It is intersected with the final/non-final
             split, so a caller cannot accidentally violate point 1.
+
+    The refinement itself runs on the automaton's int encoding
+    (:func:`refine_encoded`).
     """
-    current = initial_partition(ba)
-    if seed is not None:
-        # Intersect the seed with the base split: block identity becomes
-        # the pair (seed block, final flag).
-        renumber: dict[tuple, int] = {}
-        merged: Partition = {}
-        for state in sorted(ba.states, key=_state_key):
-            key = (seed[state], current[state])
-            block = renumber.get(key)
-            if block is None:
-                block = len(renumber)
-                renumber[key] = block
-            merged[state] = block
-        current = merged
-
-    while True:
-        refined = refine_once(ba, current)
-        if _block_count(refined) == _block_count(current):
-            return refined
-        current = refined
-
-
-def _block_count(partition: Partition) -> int:
-    return len(set(partition.values()))
+    encoded = encode_automaton(ba)
+    blocks = refine_encoded(
+        encoded,
+        range(encoded.num_label_classes),
+        None if seed is None else [seed[state] for state in encoded.states],
+    )
+    return dict(zip(encoded.states, blocks))
 
 
 def blocks_of(partition: Partition) -> list[frozenset]:

@@ -302,46 +302,51 @@ def translate(
     ]
     n = len(acceptance)
 
+    # Degeneralized states are ``(obligation set, level)`` pairs; they are
+    # numbered with ints in discovery order, so every later sort
+    # (construction, reduction, bisimulation, canonical form) compares
+    # ints instead of printing formula-valued states.  Discovery order is
+    # independent of the hash seed because ``state_covers`` iterates each
+    # obligation set in printed order.
+    ids: dict[tuple, int] = {(_IOTA, 0): 0}
+    frontier: list[tuple] = [(_IOTA, 0)]
     ba_transitions: list[Transition] = []
-    ba_states: set = set()
-    ba_final: set = set()
+    ba_final: list[int] = [0] if n == 0 else []
+
+    def number(state: tuple) -> int:
+        found = ids.get(state)
+        if found is None:
+            found = ids[state] = len(ids)
+            frontier.append(state)
+            if state[1] == n:
+                ba_final.append(found)
+        return found
 
     if n == 0:
         for t in transitions:
-            ba_transitions.append(Transition((t.src, 0), t.label, (t.dst, 0)))
-            ba_states.add((t.src, 0))
-            ba_states.add((t.dst, 0))
-        ba_states.add((_IOTA, 0))
-        ba_final = set(ba_states)
-        initial = (_IOTA, 0)
+            ba_transitions.append(
+                Transition(number((t.src, 0)), t.label, number((t.dst, 0)))
+            )
     else:
         # Max-advance degeneralization over levels 0..n; level n marks a
         # completed counter cycle and is the accepting level.
         by_src: dict[object, list[_TgbaTransition]] = {}
         for t in transitions:
             by_src.setdefault(t.src, []).append(t)
-        initial = (_IOTA, 0)
-        ba_states.add(initial)
-        frontier = [initial]
-        seen_states = {initial}
         while frontier:
             state = frontier.pop()
             src, level = state
+            src_id = ids[state]
             effective = 0 if level == n else level
             for t in by_src.get(src, ()):
                 advanced = effective
                 while advanced < n and accepts(t, acceptance[advanced]):
                     advanced += 1
-                dst = (t.dst, advanced)
-                ba_transitions.append(Transition(state, t.label, dst))
-                if dst not in seen_states:
-                    seen_states.add(dst)
-                    frontier.append(dst)
-            ba_states.add(state)
-        ba_states |= seen_states
-        ba_final = {s for s in ba_states if s[1] == n}
+                ba_transitions.append(
+                    Transition(src_id, t.label, number((t.dst, advanced)))
+                )
 
-    ba = BuchiAutomaton(ba_states, initial, ba_transitions, ba_final)
+    ba = BuchiAutomaton(range(len(ids)), 0, ba_transitions, ba_final)
     if reduce:
         ba = reduce_automaton(ba)
     return ba.canonical()

@@ -289,12 +289,15 @@ class ContractDatabase:
                     ba,
                     max_subset_size=self.config.projection_subset_cap,
                     vocabulary=spec.vocabulary,
+                    encoded=encoded,
                 )
                 projection_seconds = time.perf_counter() - start
             if projections.vocabulary is None:
                 # prebuilt stores (process pool, snapshot restore) carry
-                # no vocabulary; assign it so quotients can be encoded
+                # no vocabulary or encoding; assign them so quotients can
+                # be encoded and later projections refine on this one
                 projections.vocabulary = spec.vocabulary
+                projections.encoded = encoded
 
         with self._rwlock.write():
             contract_id = self._next_id

@@ -94,6 +94,14 @@ class ShardServer:
             return protocol.error_doc(
                 ProtocolError(f"malformed {op!r} request: {exc}")
             )
+        except Exception as exc:
+            # Any other failure is still this request's own: answer it
+            # with an error doc (a request error to the coordinator — no
+            # retry, no breaker charge) instead of letting it kill the
+            # connection thread, which would read as a transport failure.
+            # BaseExceptions such as SimulatedCrash still propagate.
+            self.db.metrics.inc("dist.shard.errors")
+            return protocol.error_doc(exc)
         self.db.metrics.inc(f"dist.shard.ops.{op}")
         return {"ok": True, **payload}
 

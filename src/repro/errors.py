@@ -32,6 +32,12 @@ class LTLSyntaxError(ReproError):
         return base
 
 
+class ParseError(LTLSyntaxError):
+    """Raised by the LTL parser on input that nests deeper than
+    :data:`repro.ltl.parser.MAX_NESTING` (parentheses, unary chains and
+    binary chains all count), before the recursion could overflow."""
+
+
 class AutomatonError(ReproError):
     """Raised on structurally invalid automata (e.g. unknown states in a
     transition, a final-state set that is not a subset of the states)."""

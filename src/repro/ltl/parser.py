@@ -23,8 +23,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..errors import LTLSyntaxError
+from ..errors import LTLSyntaxError, ParseError
 from . import ast as A
+
+#: Deepest accepted nesting, applied both to the operators on any
+#: root-to-atom path and to parenthesis groups open at once.  Every
+#: formula within it parses, prints, simplifies, translates and is
+#: queried under Python's default recursion limit; deeper input raises
+#: :class:`ParseError` instead of ``RecursionError``.
+MAX_NESTING = 64
 
 _RESERVED_UNARY = {"X": A.Next, "F": A.Finally, "G": A.Globally}
 _RESERVED_BINARY = {"U": A.Until, "W": A.WeakUntil, "B": A.Before, "R": A.Release}
@@ -72,12 +79,27 @@ def tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Single-use recursive-descent parser over a token list."""
+    """Single-use recursive-descent parser over a token list.
+
+    Every grammar method returns the parsed formula with its height: the
+    number of operators on its deepest root-to-atom path.  Input is
+    capped at :data:`MAX_NESTING` two ways, both raising
+    :class:`ParseError` at the offending token: the height (unary and
+    binary chains alike) and the number of parenthesis groups open at
+    once.  ``_ops`` counts the unary and ``->`` operators whose operand
+    is being parsed — all on one path, so a lower bound on the final
+    height — which stops a long chain before the recursion could
+    overflow; binary chains are loops and are checked as they grow.
+    The printer only emits parentheses around operators, so a printed
+    accepted formula is accepted again.
+    """
 
     def __init__(self, text: str):
         self._text = text
         self._tokens = tokenize(text)
         self._index = 0
+        self._ops = 0
+        self._groups = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -105,10 +127,23 @@ class _Parser:
             )
         return self._advance()
 
+    def _too_deep(self, token: _Token) -> ParseError:
+        return ParseError(
+            f"formula nests deeper than {MAX_NESTING} levels",
+            text=self._text,
+            position=token.position,
+        )
+
+    def _binary(self, ctor, left, right, token: _Token) -> tuple[A.Formula, int]:
+        height = max(left[1], right[1]) + 1
+        if height > MAX_NESTING:
+            raise self._too_deep(token)
+        return ctor(left[0], right[0]), height
+
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> A.Formula:
-        formula = self._iff()
+        formula, _ = self._iff()
         trailing = self._peek()
         if trailing is not None:
             raise LTLSyntaxError(
@@ -118,37 +153,40 @@ class _Parser:
             )
         return formula
 
-    def _iff(self) -> A.Formula:
+    def _iff(self) -> tuple[A.Formula, int]:
         left = self._implies()
         while self._peek_kind() == "iff":
-            self._advance()
-            right = self._implies()
-            left = A.Iff(left, right)
+            token = self._advance()
+            left = self._binary(A.Iff, left, self._implies(), token)
         return left
 
-    def _implies(self) -> A.Formula:
+    def _implies(self) -> tuple[A.Formula, int]:
         left = self._or()
         if self._peek_kind() == "arrow":
-            self._advance()
+            token = self._advance()
+            self._ops += 1
+            if self._ops > MAX_NESTING:
+                raise self._too_deep(token)
             right = self._implies()  # right associative
-            return A.Implies(left, right)
+            self._ops -= 1
+            return self._binary(A.Implies, left, right, token)
         return left
 
-    def _or(self) -> A.Formula:
+    def _or(self) -> tuple[A.Formula, int]:
         left = self._and()
         while self._peek_kind() == "or":
-            self._advance()
-            left = A.Or(left, self._and())
+            token = self._advance()
+            left = self._binary(A.Or, left, self._and(), token)
         return left
 
-    def _and(self) -> A.Formula:
+    def _and(self) -> tuple[A.Formula, int]:
         left = self._temporal()
         while self._peek_kind() == "and":
-            self._advance()
-            left = A.And(left, self._temporal())
+            token = self._advance()
+            left = self._binary(A.And, left, self._temporal(), token)
         return left
 
-    def _temporal(self) -> A.Formula:
+    def _temporal(self) -> tuple[A.Formula, int]:
         left = self._unary()
         while True:
             token = self._peek()
@@ -163,45 +201,59 @@ class _Parser:
                     position=token.position,
                 )
             self._advance()
-            left = ctor(left, self._unary())
+            left = self._binary(ctor, left, self._unary(), token)
 
-    def _unary(self) -> A.Formula:
+    def _unary(self) -> tuple[A.Formula, int]:
         token = self._peek()
         if token is None:
             raise LTLSyntaxError(
                 "unexpected end of input", text=self._text, position=len(self._text)
             )
         if token.kind == "not":
-            self._advance()
-            return A.Not(self._unary())
-        if token.kind == "ident" and token.text in _RESERVED_UNARY:
-            self._advance()
-            return _RESERVED_UNARY[token.text](self._unary())
-        return self._atom()
+            ctor = A.Not
+        elif token.kind == "ident" and token.text in _RESERVED_UNARY:
+            ctor = _RESERVED_UNARY[token.text]
+        else:
+            return self._atom()
+        self._advance()
+        self._ops += 1
+        if self._ops > MAX_NESTING:
+            raise self._too_deep(token)
+        operand, height = self._unary()
+        self._ops -= 1
+        if height >= MAX_NESTING:
+            raise self._too_deep(token)
+        return ctor(operand), height + 1
 
-    def _atom(self) -> A.Formula:
+    def _atom(self) -> tuple[A.Formula, int]:
         token = self._advance()
         if token.kind == "lparen":
+            self._groups += 1
+            if self._groups > MAX_NESTING:
+                raise self._too_deep(token)
             inner = self._iff()
             self._expect("rparen")
+            self._groups -= 1
             return inner
         if token.kind == "ident":
             if token.text in _RESERVED_CONST:
-                return _RESERVED_CONST[token.text]
+                return _RESERVED_CONST[token.text], 0
             if token.text in _RESERVED_BINARY or token.text in _RESERVED_UNARY:
                 raise LTLSyntaxError(
                     f"reserved word {token.text!r} used as a proposition",
                     text=self._text,
                     position=token.position,
                 )
-            return A.Prop(token.text)
+            return A.Prop(token.text), 0
         raise LTLSyntaxError(
             f"unexpected token {token.text!r}", text=self._text, position=token.position
         )
 
     def _peek_kind(self) -> str | None:
-        token = self._peek()
-        return token.kind if token else None
+        # inlined _peek: this runs once per grammar level per operand
+        if self._index < len(self._tokens):
+            return self._tokens[self._index].kind
+        return None
 
 
 def parse(text: str) -> A.Formula:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..automata.buchi import BuchiAutomaton, Transition
+from ..automata.encode import EncodedAutomaton
 from ..automata.labels import Label, Literal
 
 
@@ -44,6 +45,31 @@ def project(ba: BuchiAutomaton, keep: Iterable[Literal]) -> BuchiAutomaton:
         [Transition(src, label, dst) for src, label, dst in transitions],
         ba.final,
     )
+
+
+def project_label_classes(
+    encoded: EncodedAutomaton, keep: Iterable[Literal]
+) -> list[int]:
+    """The projection ``π_keep`` on an encoding: one projected label id
+    per encoded label class, equal ids for classes whose labels restrict
+    to the same label.
+
+    A class ``(pos, neg)`` restricts to ``(pos & keep_pos, neg &
+    keep_neg)``; every kept literal's event must be in the encoding's
+    vocabulary.
+    """
+    keep_pos = keep_neg = 0
+    for lit in keep:
+        bit = 1 << encoded.event_index[lit.event]
+        if lit.positive:
+            keep_pos |= bit
+        else:
+            keep_neg |= bit
+    ids: dict[tuple[int, int], int] = {}
+    return [
+        ids.setdefault((p & keep_pos, n & keep_neg), len(ids))
+        for p, n in zip(encoded.label_pos, encoded.label_neg)
+    ]
 
 
 def workload_projection_subsets(

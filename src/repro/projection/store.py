@@ -33,17 +33,17 @@ from typing import Iterable, Iterator
 
 from ..automata.bisim import (
     Partition,
-    bisimulation_partition,
     blocks_of,
     partition_signature,
     quotient,
+    refine_encoded,
 )
 from ..automata.buchi import BuchiAutomaton
 from ..automata.encode import EncodedAutomaton, encode_automaton
 from ..automata.labels import Literal, parse_literal
 from ..core.seeds import compute_seeds
 from ..errors import ProjectionError
-from .project import project, required_literals
+from .project import project, project_label_classes, required_literals
 
 
 @dataclass
@@ -72,6 +72,11 @@ class ProjectionStore:
             (:meth:`select_artifacts`).  ``None`` (e.g. a store built by
             a process-pool worker) disables quotient encoding until the
             broker assigns it at registration.
+        encoded: the contract's own int encoding of ``ba`` (its
+            vocabulary must cover ``ba``'s events); projections and
+            their bisimulation partitions are computed on it.  The store
+            keeps a reference, not a copy, and encodes ``ba`` itself
+            only when none is given.
     """
 
     def __init__(
@@ -80,11 +85,13 @@ class ProjectionStore:
         max_subset_size: int | None = 2,
         extra_subsets: Iterable[frozenset] = (),
         vocabulary: frozenset | None = None,
+        encoded: EncodedAutomaton | None = None,
     ):
         self.ba = ba
         self.literals = ba.literals()
         self.max_subset_size = max_subset_size
         self.vocabulary = vocabulary
+        self.encoded = encoded
         self._extra_subsets = [
             frozenset(s) & self.literals for s in extra_subsets
         ]
@@ -93,6 +100,8 @@ class ProjectionStore:
         self._subset_to_partition: dict[frozenset[Literal], int] = {}
         #: deduplicated partitions, as state->block mappings
         self._partitions: list[Partition] = []
+        #: block count of each partition in _partitions
+        self._block_counts: list[int] = []
         self._signature_to_id: dict[frozenset, int] = {}
         #: lazily materialized quotient automata, keyed by (partition id,
         #: subset) — the labels depend on the subset, the shape on the
@@ -111,8 +120,15 @@ class ProjectionStore:
 
     # -- registration-time computation -----------------------------------------
 
+    def _encoding(self) -> EncodedAutomaton:
+        """The encoding projections are refined on (see ``encoded``)."""
+        if self.encoded is None:
+            self.encoded = encode_automaton(self.ba)
+        return self.encoded
+
     def _build(self) -> None:
         start = time.perf_counter()
+        encoded = self._encoding()
         cap = self.max_subset_size
         sizes: Iterable[int]
         if cap is None:
@@ -124,24 +140,22 @@ class ProjectionStore:
             for subset_tuple in combinations(ordered, size):
                 subset = frozenset(subset_tuple)
                 self.stats.subsets_considered += 1
-                self._compute_subset(subset)
+                self._compute_subset(subset, encoded)
         # Workload-guided extras (§5.2): projections for the literal sets
         # an expected query workload will actually request, regardless of
-        # their size.  Sorted smallest-first so larger extras can seed
-        # from smaller ones.
-        for subset in sorted(set(self._extra_subsets), key=len):
+        # their size.
+        for subset in _smallest_first(self._extra_subsets):
             if subset in self._subset_to_partition:
                 continue
             self.stats.subsets_considered += 1
-            self._compute_subset(subset)
+            self._compute_subset(subset, encoded)
         self.stats.build_seconds = time.perf_counter() - start
         self.stats.distinct_partitions = len(self._partitions)
-        self._block_counts = [
-            len(set(p.values())) for p in self._partitions
-        ]
         self.stats.stored_blocks = sum(self._block_counts)
 
-    def _compute_subset(self, subset: frozenset[Literal]) -> None:
+    def _compute_subset(
+        self, subset: frozenset[Literal], encoded: EncodedAutomaton
+    ) -> None:
         seed: Partition | None = None
         if subset:
             # Theorem 3: any stored subset of this one yields a valid
@@ -153,28 +167,32 @@ class ProjectionStore:
                 parent_id = self._subset_to_partition.get(subset - {literal})
                 if parent_id is None:
                     continue
-                parent = self._partitions[parent_id]
-                blocks = len(set(parent.values()))
+                blocks = self._block_counts[parent_id]
                 if blocks > best_blocks:
                     best_blocks = blocks
-                    seed = parent
+                    seed = self._partitions[parent_id]
             if seed is None:
                 for stored, parent_id in self._subset_to_partition.items():
                     if not stored < subset:
                         continue
-                    parent = self._partitions[parent_id]
-                    blocks = len(set(parent.values()))
+                    blocks = self._block_counts[parent_id]
                     if blocks > best_blocks:
                         best_blocks = blocks
-                        seed = parent
-        projected = project(self.ba, subset)
-        partition = bisimulation_partition(projected, seed=seed)
+                        seed = self._partitions[parent_id]
+        states = encoded.states
+        blocks = refine_encoded(
+            encoded,
+            project_label_classes(encoded, subset),
+            None if seed is None else [seed[state] for state in states],
+        )
+        partition = dict(zip(states, blocks))
         self.stats.partitions_computed += 1
         signature = partition_signature(partition)
         partition_id = self._signature_to_id.get(signature)
         if partition_id is None:
             partition_id = len(self._partitions)
             self._partitions.append(partition)
+            self._block_counts.append(max(blocks, default=-1) + 1)
             self._signature_to_id[signature] = partition_id
         self._subset_to_partition[subset] = partition_id
 
@@ -188,20 +206,18 @@ class ProjectionStore:
         were computed.
         """
         start = time.perf_counter()
+        encoded = self._encoding()
         added = 0
-        for subset in sorted(
-            {frozenset(s) & self.literals for s in subsets}, key=len
+        for subset in _smallest_first(
+            frozenset(s) & self.literals for s in subsets
         ):
             if subset in self._subset_to_partition:
                 continue
             self.stats.subsets_considered += 1
-            self._compute_subset(subset)
+            self._compute_subset(subset, encoded)
             added += 1
         self.stats.build_seconds += time.perf_counter() - start
         self.stats.distinct_partitions = len(self._partitions)
-        self._block_counts = [
-            len(set(p.values())) for p in self._partitions
-        ]
         self.stats.stored_blocks = sum(self._block_counts)
         return added
 
@@ -259,6 +275,7 @@ class ProjectionStore:
         store.ba = ba
         store.literals = ba.literals()
         store.vocabulary = None
+        store.encoded = None
         store._extra_subsets = []
         store._quotients = {}
         store._quotient_seeds = {}
@@ -432,3 +449,10 @@ class ProjectionStore:
         'list of bisimilar states' footprint (§5.2)."""
         partition_entries = sum(len(p) for p in self._partitions)
         return partition_entries + len(self._subset_to_partition)
+
+
+def _smallest_first(subsets: Iterable[frozenset]) -> list[frozenset]:
+    """Distinct subsets, smallest first so larger ones can seed from
+    smaller ones (Theorem 3); ties in literal order, so the partition
+    numbering does not depend on set iteration order."""
+    return sorted(set(subsets), key=lambda subset: (len(subset), sorted(subset)))

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from repro.automata.bisim import (
     bisimulation_partition,
     blocks_of,
-    initial_partition,
     partition_signature,
     quotient,
     quotient_by_bisimulation,
@@ -31,15 +30,6 @@ def duplicated_chain() -> BuchiAutomaton:
         ],
         final=[3, 4],
     )
-
-
-class TestInitialPartition:
-    def test_final_nonfinal_split(self):
-        ba = duplicated_chain()
-        partition = initial_partition(ba)
-        assert partition[3] == partition[4]
-        assert partition[0] == partition[1] == partition[2]
-        assert partition[0] != partition[3]
 
 
 class TestBisimulationPartition:

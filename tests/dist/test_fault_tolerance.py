@@ -201,6 +201,52 @@ class TestRpcRetry:
                 assert not recovered.maybe_names
 
 
+class TestRequestErrors:
+    """A request that fails on the shard is that request's error: it is
+    answered, not retried, and charges no breaker, so other callers'
+    answers do not change."""
+
+    def _cluster_db(self, cluster):
+        db = cluster.database(retry=FAST_RETRY)
+        for i in range(6):
+            db.register(f"c{i}", ["G (a -> F b)"] if i % 2 else ["F a"])
+        return db
+
+    def test_poison_query_leaves_the_next_query_whole(self):
+        from repro.errors import ParseError
+
+        with LocalCluster(3) as cluster, self._cluster_db(cluster) as db:
+            expected = db.query("F a")
+            assert len(expected.contract_ids) == 6
+            with pytest.raises(ParseError):
+                db.query("(" * 500 + "a" + ")" * 500)
+            outcome = db.query("F a")
+            assert outcome.contract_names == expected.contract_names
+            assert outcome.maybe_names == ()
+            assert db.metrics.counter_value("dist.breaker_open") == 0
+            assert all(health.healthy for health in db.coordinator.health)
+
+    def test_op_crash_is_a_request_error(self, monkeypatch):
+        from repro.dist.server import ShardServer
+
+        def explode(self, doc):
+            raise RuntimeError("op blew up")
+
+        with LocalCluster(3) as cluster, self._cluster_db(cluster) as db:
+            # the coordinator fans queries out as ``query_many``
+            monkeypatch.setattr(ShardServer, "_op_query_many", explode)
+            # every shard answers with an error doc: a sound skip, once
+            outcome = db.query("F a")
+            assert len(outcome.maybe_names) == 6
+            assert db.metrics.counter_value("dist.merge.skipped_shards") == 3
+            assert db.metrics.counter_value("dist.retries") == 0
+            assert db.metrics.counter_value("dist.breaker_open") == 0
+            with pytest.raises(QueryBudgetError, match="op blew up"):
+                db.query("F a", QueryOptions(degradation=Degradation.FAIL))
+            monkeypatch.undo()
+            assert len(db.query("F a").contract_ids) == 6
+
+
 class TestMergeAllShardsDead:
     """Satellite: the merged outcome when *no* shard answered — the
     worst sound degradation the coordinator can emit."""

@@ -40,6 +40,27 @@ class TestDispatch:
         assert response["ok"] is False
         assert response["kind"] == "ProtocolError"
 
+    def test_op_exception_is_an_error_response(self, shard, monkeypatch):
+        def explode(self, doc):
+            raise RuntimeError("op blew up")
+
+        monkeypatch.setattr(ShardServer, "_op_query", explode)
+        response = shard.handle_request({"op": "query", "query": "F a"})
+        assert response == {
+            "ok": False, "error": "op blew up", "kind": "RuntimeError",
+        }
+        assert shard.db.metrics.counter_value("dist.shard.errors") == 1
+
+    def test_base_exceptions_still_propagate(self, shard, monkeypatch):
+        from repro.core.faults import SimulatedCrash
+
+        def crash(self, doc):
+            raise SimulatedCrash("kill -9")
+
+        monkeypatch.setattr(ShardServer, "_op_query", crash)
+        with pytest.raises(SimulatedCrash):
+            shard.handle_request({"op": "query", "query": "F a"})
+
     def test_register_query_deregister(self, shard):
         _register(shard, "alpha", ["G (a -> F b)"])
         _register(shard, "beta", ["G !a"])
@@ -169,6 +190,20 @@ class TestSocketSurface:
                 with pytest.raises(DistError, match="rejected"):
                     client.request({"op": "deregister", "name": "ghost"})
                 # the connection survives an application-level error
+                assert client.request({"op": "ping"})["pong"]
+        finally:
+            server.stop()
+
+    def test_connection_survives_an_op_exception(self, monkeypatch):
+        def explode(self, doc):
+            raise RuntimeError("op blew up")
+
+        monkeypatch.setattr(ShardServer, "_op_query", explode)
+        server = ShardServer(1).start()
+        try:
+            with ShardClient(*server.address) as client:
+                with pytest.raises(DistError, match="op blew up"):
+                    client.request({"op": "query", "query": "F a"})
                 assert client.request({"op": "ping"})["pong"]
         finally:
             server.stop()

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import LTLSyntaxError
+from repro.errors import LTLSyntaxError, ParseError
 from repro.ltl import ast as A
-from repro.ltl.parser import parse, parse_clauses, tokenize
+from repro.ltl.parser import MAX_NESTING, parse, parse_clauses, tokenize
 from repro.ltl.printer import format_formula
 
 from ..strategies import formulas
@@ -156,3 +156,53 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     def test_parse_of_print_is_identity(self, formula):
         assert parse(format_formula(formula)) == formula
+
+
+class TestNestingCap:
+    """Input nesting past MAX_NESTING is a typed ParseError, never a
+    RecursionError; everything at the cap runs the whole pipeline."""
+
+    SHAPES = {
+        "parentheses": lambda k: "(" * k + "a" + ")" * k,
+        "unary chain": lambda k: "!" * k + "a",
+        "temporal chain": lambda k: "X " * k + "a",
+        "binary chain": lambda k: "a" + " && b" * k,
+        "implication chain": lambda k: "a" + " -> b" * k,
+        # alternating precedence: the printer must parenthesize every level
+        "alternating": lambda k: "a" + "".join(
+            f" {'&&' if i % 2 else '||'} (b" for i in range(k - 1)
+        ) + " && c" + ")" * (k - 1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_accepted_at_cap_runs_end_to_end(self, shape):
+        from repro.automata.ltl2ba import translate
+        from repro.broker.database import ContractDatabase
+        from repro.ltl.rewrite import simplify
+
+        text = self.SHAPES[shape](MAX_NESTING)
+        formula = parse(text)
+        assert parse(format_formula(formula)) == formula
+        simplify(formula)
+        translate(formula)
+        db = ContractDatabase()
+        db.register("c", [text])
+        db.query(text)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_rejected_past_cap_with_position(self, shape):
+        text = self.SHAPES[shape](MAX_NESTING + 1)
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert 0 <= info.value.position < len(text)
+        assert isinstance(info.value, LTLSyntaxError)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "a" + ")" * 200,
+        "!" * 1000 + "a",
+        "a" + " U b" * 5000,
+        "(" * 100_000,
+    ])
+    def test_hostile_depth_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse(text)

@@ -12,7 +12,7 @@ from repro.projection.project import project
 from repro.projection.store import ProjectionStore
 from repro.ltl.parser import parse
 
-from ..strategies import formulas
+from ..strategies import contract_specs, formulas
 
 
 class TestBuild:
@@ -194,3 +194,57 @@ class TestSerialization:
         doc["subsets"].append({"literals": ["zzz"], "partition": 0})
         with pytest.raises(ProjectionError):
             ProjectionStore.from_dict(ba, doc)
+
+
+class TestStoredPartitionsAreBisimulations:
+    """Every stored partition, checked straight against Definition 9 on
+    the object projection, so the seeded refinement on the encoding is
+    judged without going through the refinement code."""
+
+    @staticmethod
+    def _assert_definition_9(projected, partition):
+        blocks = {}
+        for state, block in partition.items():
+            blocks.setdefault(block, []).append(state)
+        for members in blocks.values():
+            finality = {state in projected.final for state in members}
+            assert len(finality) == 1, "block mixes final and non-final"
+            signatures = {
+                frozenset(
+                    (label, partition[dst])
+                    for label, dst in projected.successors(state)
+                )
+                for state in members
+            }
+            assert len(signatures) == 1, "block members step apart"
+
+    @given(contract_specs(events=("a", "b", "c", "d"), max_depth=3))
+    @settings(max_examples=40, deadline=None)
+    def test_stored_partitions(self, spec):
+        from itertools import combinations
+
+        from repro.automata.bisim import bisimulation_partition, blocks_of
+        from repro.automata.encode import encode_automaton
+
+        ba = translate(spec.formula)
+        literals = sorted(ba.literals())
+        store = ProjectionStore(
+            ba, max_subset_size=2, vocabulary=spec.vocabulary,
+            encoded=encode_automaton(ba, spec.vocabulary),
+        )
+        # one workload-guided extra beyond the cap seeds from a scan
+        store.precompute([frozenset(literals[:3])])
+        subsets = {
+            frozenset(s) for size in range(3)
+            for s in combinations(literals, size)
+        } | {frozenset(literals[:3])}
+        for subset in subsets:
+            blocks = store.partition_for(subset)
+            partition = {
+                state: i for i, block in enumerate(blocks) for state in block
+            }
+            projected = project(ba, subset)
+            assert set(partition) == projected.states
+            self._assert_definition_9(projected, partition)
+            unseeded = bisimulation_partition(projected)
+            assert len(blocks) == len(blocks_of(unseeded))
